@@ -2,17 +2,11 @@
 
 Runs the registered ``scaleout`` experiment's fixed-per-node-load
 configuration (see :mod:`repro.experiments.scaleout`) at a sweep of
-machine sizes under the default fast path — calendar-queue scheduler
-plus aggregated terminal arrivals — and records wall-clock events per
-second, throughput and p99 per point.  At the largest swept size it
-also runs the legacy configuration (binary heap + one resident Process
-per terminal, ``REPRO_KERNEL_SCHED=heap REPRO_WORKLOAD_AGG=0``) on the
-bit-identical event sequence and records the measured speedup.  Every
-timed point runs in a fresh child interpreter so allocator state from
-earlier points cannot skew the comparison (see :func:`_timed_run`);
-that also makes the per-point ``peak_rss_mb`` the high-water mark of
-exactly one configuration, which is where the aggregated-arrivals win
-is largest (no resident generator frame per terminal).
+machine sizes and records wall-clock events per second, throughput and
+p99 per point.  Every timed point runs in a fresh child interpreter so
+allocator state from earlier points cannot skew the measurement (see
+:func:`_timed_run`); that also makes the per-point ``peak_rss_mb`` the
+high-water mark of exactly one configuration.
 
 Records are appended to ``BENCH_scaleout.json`` at the repo root
 (override with ``$REPRO_BENCH_OUT``).  Rates are machine-dependent, so
@@ -27,10 +21,6 @@ Environment knobs:
 
 * ``REPRO_SCALEOUT_NODES`` — comma-separated node counts overriding
   the fidelity default (CI uses a reduced sweep).
-* ``REPRO_SCALEOUT_BASELINE=0`` — skip the heap+resident comparison
-  runs (they multiply the wall time spent on the largest point).
-* ``REPRO_SCALEOUT_PAIRS`` — adjacent comparison pairs for the
-  speedup (default 3; the recorded value is the median pair ratio).
 
 Run standalone (the full sweep reaches 1000 nodes / 10⁵ terminals)::
 
@@ -108,27 +98,12 @@ def _node_counts(fidelity: Fidelity) -> tuple:
     return scaleout_node_counts(fidelity)
 
 
-def _measure(
-    fidelity: Fidelity, num_nodes: int, scheduler: str, aggregated: str
-) -> dict:
-    """One timed run under explicit kernel/workload toggles."""
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_KERNEL_SCHED", "REPRO_WORKLOAD_AGG")
-    }
-    os.environ["REPRO_KERNEL_SCHED"] = scheduler
-    os.environ["REPRO_WORKLOAD_AGG"] = aggregated
-    try:
-        simulation = Simulation(scaleout_config(fidelity, num_nodes))
-        started = time.perf_counter()
-        result = simulation.run()
-        wall = time.perf_counter() - started
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+def _measure(fidelity: Fidelity, num_nodes: int) -> dict:
+    """One timed run of the scaleout configuration."""
+    simulation = Simulation(scaleout_config(fidelity, num_nodes))
+    started = time.perf_counter()
+    result = simulation.run()
+    wall = time.perf_counter() - started
     events = simulation.env.dispatch_count
     peak_rss_mb = None
     if resource is not None:
@@ -142,8 +117,6 @@ def _measure(
     return {
         "nodes": num_nodes,
         "terminals": simulation.config.workload.num_terminals,
-        "scheduler": scheduler,
-        "aggregated_arrivals": aggregated != "0",
         "events_dispatched": events,
         "wall_seconds": round(wall, 4),
         "events_per_sec": round(
@@ -156,32 +129,25 @@ def _measure(
     }
 
 
-def _timed_run(
-    fidelity: Fidelity, num_nodes: int, scheduler: str, aggregated: str
-) -> dict:
+def _timed_run(fidelity: Fidelity, num_nodes: int) -> dict:
     """Run one measurement in a fresh interpreter.
 
     Big points allocate hundreds of MB; running them back to back in
     one process lets earlier points' allocator and GC state skew later
-    wall-clock readings by tens of percent (enough to flip the
-    heap-vs-calendar comparison).  A child process per point keeps
-    every measurement cold-started and comparable.  The child re-runs
-    this file with ``--one`` and prints the measurement as JSON; the
-    timed window (inside :func:`_measure`) never includes interpreter
-    startup.
+    wall-clock readings by tens of percent.  A child process per point
+    keeps every measurement cold-started and comparable.  The child
+    re-runs this file with ``--one`` and prints the measurement as
+    JSON; the timed window (inside :func:`_measure`) never includes
+    interpreter startup.
     """
     env = dict(os.environ)
     env["REPRO_FIDELITY"] = fidelity.name
-    env["REPRO_KERNEL_SCHED"] = scheduler
-    env["REPRO_WORKLOAD_AGG"] = aggregated
     completed = subprocess.run(
         [
             sys.executable,
             os.fspath(Path(__file__).resolve()),
             "--one",
             str(num_nodes),
-            scheduler,
-            aggregated,
         ],
         env=env,
         capture_output=True,
@@ -192,16 +158,16 @@ def _timed_run(
 
 
 def run_benchmark(fidelity: Fidelity) -> dict:
-    """Sweep machine sizes; compare against heap+resident at the top."""
+    """Sweep machine sizes, one fresh interpreter per point."""
     rate = spin_rate()
     points = []
     for num_nodes in _node_counts(fidelity):
-        point = _timed_run(fidelity, num_nodes, "calendar", "1")
+        point = _timed_run(fidelity, num_nodes)
         point["events_per_spin"] = round(
             point["events_per_sec"] / rate, 6
         )
         points.append(point)
-    record = {
+    return {
         "benchmark": "scaleout",
         "fidelity": fidelity.name,
         "workload": "fixed per-node load, 100 terminals/node, "
@@ -212,42 +178,6 @@ def run_benchmark(fidelity: Fidelity) -> dict:
             "%Y-%m-%dT%H:%M:%S%z", time.localtime()
         ),
     }
-    if os.environ.get("REPRO_SCALEOUT_BASELINE", "1") != "0" and points:
-        top = points[-1]
-        pairs = int(os.environ.get("REPRO_SCALEOUT_PAIRS", "3"))
-        ratios = []
-        legacy = None
-        for _ in range(max(1, pairs)):
-            # Host throughput drifts by tens of percent over minutes
-            # (shared machine, thermal/cgroup throttling), swamping a
-            # single A-vs-B measurement.  Adjacent pairs see the same
-            # machine state, so their ratio is stable; the median
-            # across pairs is the recorded speedup.
-            fast = _timed_run(fidelity, top["nodes"], "calendar", "1")
-            legacy = _timed_run(fidelity, top["nodes"], "heap", "0")
-            # Bit-identity makes each pair a pure wall-clock
-            # comparison: both configurations dispatched the same
-            # events in the same order.
-            assert (
-                legacy["events_dispatched"] == top["events_dispatched"]
-            )
-            assert (
-                fast["events_dispatched"] == top["events_dispatched"]
-            )
-            if legacy["events_per_sec"]:
-                ratios.append(
-                    fast["events_per_sec"] / legacy["events_per_sec"]
-                )
-        record["legacy_heap_resident"] = legacy
-        if ratios:
-            ratios.sort()
-            record["speedup_pairs"] = [
-                round(ratio, 3) for ratio in ratios
-            ]
-            record["speedup_vs_heap_resident"] = round(
-                ratios[len(ratios) // 2], 3
-            )
-    return record
 
 
 def load_baselines() -> dict:
@@ -318,14 +248,12 @@ def test_scaleout_events_per_sec():
 if __name__ == "__main__":  # pragma: no cover
     if len(sys.argv) > 1 and sys.argv[1] == "--one":
         # Child-process mode (see _timed_run): one measurement, JSON
-        # on stdout.  Toggles arrive via the environment.
+        # on stdout.
         print(
             json.dumps(
                 _measure(
                     Fidelity.from_env(default="smoke"),
                     int(sys.argv[2]),
-                    sys.argv[3],
-                    sys.argv[4],
                 )
             )
         )

@@ -188,7 +188,8 @@ def _run_chunk(
     When the parent has a disk cache attached the worker writes each
     finished entry directly into the shared cache directory (atomic
     ``os.replace`` writes make concurrent writers safe), so progress
-    persists even if the sweep is interrupted before assembly.
+    persists even if the sweep is interrupted before assembly.  The
+    worker's store count travels back in ``stats["stores"]``.
     """
     cache = ResultCache(Path(cache_dir)) if cache_dir else None
     if sanitizing_active():
@@ -210,6 +211,7 @@ def _run_chunk(
     stats = {
         "pid": float(os.getpid()),
         "compute_seconds": time.perf_counter() - started,
+        "stores": float(cache.stats.stores if cache is not None else 0),
     }
     return index, _pack_payloads(payloads), stats
 
@@ -484,8 +486,11 @@ class SweepExecutor:
             result = decode_result(payload)
             self._memo[config] = result
             self.stats.simulated += 1
-            # The worker already wrote the disk entry; storing again
-            # from the parent would double the write traffic.
+        # The worker already wrote the disk entries; storing again from
+        # the parent would double the write traffic, so only its count
+        # is carried over.
+        if self.cache is not None:
+            self.cache.stats.stores += int(chunk_stats.get("stores", 0))
         self.worker_pids.add(int(chunk_stats["pid"]))
         self.stats.worker_compute_seconds += chunk_stats[
             "compute_seconds"

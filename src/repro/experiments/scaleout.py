@@ -15,11 +15,10 @@ load fixed, and reports three curves against machine size:
   purely local.
 * **wall-clock events per second** — a *simulator* metric, not a model
   metric: dispatched kernel events divided by wall-clock run time.
-  This is the curve the calendar-queue scheduler and the aggregated
-  arrival source exist for; with the O(log n) heap and resident
-  terminal processes it sags as the pending-event population grows
-  into the tens of thousands, with the O(1) calendar queue it stays
-  flat.  Wall-clock numbers are machine-dependent and non-
+  The pending-event population grows with the terminal count into
+  the tens of thousands here, which is the load the calendar-queue
+  scheduler and the aggregated arrival source are built for.
+  Wall-clock numbers are machine-dependent and non-
   deterministic, so this figure is measured on fresh in-process runs
   (never cached) and is excluded from determinism comparisons.
 

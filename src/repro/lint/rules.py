@@ -45,15 +45,6 @@ hit) while keeping figure replications seed-stable:
     sequence after it and breaks the bit-identical-without-faults
     property.  Flags stream draws inside ``repro/faults/`` whose
     stream name does not start with ``fault-``.
-``resident-terminal-process``
-    Spawning one kernel ``Process`` per terminal — ``env.process``
-    inside a loop over the terminal population, or a process named
-    ``terminal-*`` — resurrects the resident-terminal design whose
-    O(terminals) generators capped the simulated machine size.
-    Arrivals must flow through
-    :class:`~repro.core.workload.AggregatedTerminalSource`; the
-    verification fallback in the transaction manager carries an
-    explicit waiver.
 """
 
 from __future__ import annotations
@@ -70,7 +61,6 @@ __all__ = [
     "FloatTimeEqualityRule",
     "IdKeyedContainerRule",
     "ProcessProtocolRule",
-    "ResidentTerminalProcessRule",
     "UnorderedDictIterationRule",
     "UnorderedSetIterationRule",
     "UnseededGlobalRandomRule",
@@ -870,102 +860,4 @@ class FaultStreamMisuseRule(Rule):
                     severity=self.severity,
                 )
             )
-        return violations
-
-
-def _mentions_terminal(node: ast.AST) -> bool:
-    """Whether any identifier under ``node`` names the terminal pop."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            if "terminal" in sub.id.lower():
-                return True
-        elif isinstance(sub, ast.Attribute):
-            if "terminal" in sub.attr.lower():
-                return True
-    return False
-
-
-def _static_name_prefix(node: ast.AST) -> str:
-    """Leading literal text of a process ``name=`` argument, if any."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.JoinedStr) and node.values:
-        head = node.values[0]
-        if isinstance(head, ast.Constant) and isinstance(
-            head.value, str
-        ):
-            return head.value
-    return ""
-
-
-@register
-class ResidentTerminalProcessRule(Rule):
-    """Per-terminal kernel Process spawns outside the aggregated source.
-
-    Two heuristics, either of which flags an ``env.process(...)`` call:
-    the call sits inside a ``for`` loop whose target or iterable names
-    the terminal population (``for terminal in range(num_terminals)``),
-    or the spawned process is explicitly named ``terminal-*``.  The
-    bodies of :class:`~repro.core.workload.AggregatedTerminalSource`
-    and its watcher shim are exempt — that is the one sanctioned owner
-    of per-terminal machinery.
-    """
-
-    rule_id = "resident-terminal-process"
-    summary = (
-        "one kernel Process per terminal: resident terminal loops put "
-        "O(terminals) generators on the scheduler and cap the "
-        "simulated machine size; route arrivals through "
-        "AggregatedTerminalSource instead"
-    )
-    version = 1
-    include = ("repro/",)
-
-    #: The sanctioned aggregation implementation (and its subscription
-    #: shim) is the one place allowed to own per-terminal machinery.
-    _EXEMPT_CLASSES = frozenset(
-        {"AggregatedTerminalSource", "_TerminalWatcher"}
-    )
-
-    @staticmethod
-    def _is_process_call(node: ast.AST) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "process"
-        )
-
-    def check(self, tree, source, path):
-        exempt: Set[ast.AST] = set()
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.ClassDef)
-                and node.name in self._EXEMPT_CLASSES
-            ):
-                exempt.update(ast.walk(node))
-        violations: List[Violation] = []
-        flagged: Set[ast.AST] = set()
-
-        def flag(call: ast.Call) -> None:
-            if call in exempt or call in flagged:
-                return
-            flagged.add(call)
-            violations.append(self.violation(path, call))
-
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.For, ast.AsyncFor)) and (
-                _mentions_terminal(node.target)
-                or _mentions_terminal(node.iter)
-            ):
-                for stmt in node.body:
-                    for sub in ast.walk(stmt):
-                        if self._is_process_call(sub):
-                            flag(sub)
-            elif self._is_process_call(node):
-                for keyword in node.keywords:
-                    if keyword.arg != "name":
-                        continue
-                    prefix = _static_name_prefix(keyword.value)
-                    if prefix.startswith("terminal-"):
-                        flag(node)
         return violations

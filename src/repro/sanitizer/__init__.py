@@ -4,7 +4,7 @@ simlint (:mod:`repro.lint`) guards the bit-reproducibility property
 statically; simsan guards it *dynamically*.  An opt-in instrumented
 execution mode — ``Environment(sanitizer=...)`` /
 ``Simulation(config, sanitizer=...)`` / ``$REPRO_SIMSAN=1`` — routes
-cheap hook points in the kernel, both schedulers, the stream registry,
+cheap hook points in the kernel, the stream registry,
 the resources, the network, and the fault injector into a
 :class:`~repro.sanitizer.core.Sanitizer`, which runs four checkers:
 
@@ -25,7 +25,7 @@ the resources, the network, and the fault injector into a
 ``handle-lifecycle``
     ``cancel()`` on a handle whose callback already ran (which under
     pooling would kill an unrelated recycled event), and double-cancel
-    before reap, across both the heap and calendar schedulers.
+    before reap.
 ``leak-audit``
     End-of-run audit generalizing ``faults.assert_no_leaks``: orphaned
     processes and undelivered couriers on drained runs, cohorts or

@@ -1,6 +1,6 @@
 """An adaptive calendar-queue scheduler with exact ``(time, seq)`` order.
 
-The kernel's default pending-event structure.  A binary heap pays
+The kernel's pending-event structure.  A binary heap pays
 O(log n) comparisons per operation — and every comparison is a
 Python-level ``ScheduledCallback.__lt__`` call — so the per-event cost
 grows with the *population* of pending events, not with the work done.
@@ -57,9 +57,8 @@ impossible (``seq`` is unique).  Events that land in an
 already-passed bucket (possible only for pushes at the cursor's own
 timestamp) merge into the sorted current run; the overflow heap never
 holds anything earlier than the year end.  Pops therefore come out in
-exactly the order a binary heap would produce, and the kernel's
-dispatch schedule — and every simulation result — is bit-identical
-under ``REPRO_KERNEL_SCHED=calendar|heap``.  All re-anchor decisions
+exactly the order a binary heap would produce (the test suite checks
+this against ``heapq``).  All re-anchor decisions
 depend only on the operation sequence and event times, never on wall
 clock, so the structure is deterministic too.
 

@@ -3,7 +3,8 @@
 This is the substrate standing in for DeNet, the Modula-2 simulation
 language the paper used.  The model is deliberately SimPy-like:
 
-* An :class:`Environment` owns the simulation clock and the event heap.
+* An :class:`Environment` owns the simulation clock and the pending-event
+  queues.
 * A *process* is a Python generator.  It advances by ``yield``-ing
   *waitables* — :class:`Timeout`, :class:`Event`, another
   :class:`Process`, or the combinators :class:`AllOf` / :class:`AnyOf` —
@@ -20,35 +21,48 @@ that no process is ever resumed twice.
 
 Hot-path design (the per-event cost caps every figure replication):
 
+* **One pending-event structure.**  Timed callbacks live in a
+  :class:`~repro.sim.calendar.CalendarQueue`, which pops in exact
+  global ``(time, seq)`` order — the order a binary heap over the same
+  handles would give (``tests/sim/test_calendar.py`` checks it against
+  ``heapq``).
 * **Same-time fast lane.**  Zero-delay work — deferred event
   deliveries, process-termination notifications, pending interrupts —
   is the majority of all scheduled callbacks, and none of it needs a
   priority queue: it always runs at the current timestamp.  Such
-  callbacks go onto a FIFO ``deque`` instead of the heap.  FIFO
-  tie-breaking is *provably preserved*: every callback (heap or fast
-  lane) carries the global sequence number it was scheduled with, and
-  the dispatch loop interleaves same-time heap entries with fast-lane
-  entries in exact sequence order — bit-identical schedules to a
-  heap-only kernel (``REPRO_KERNEL_FASTLANE=0`` forces the heap-only
-  path; the determinism suite asserts identical metrics both ways).
-* **Allocation-free heap entries.**  :class:`ScheduledCallback` handles
-  order themselves via ``__lt__`` on ``(time, seq)`` slots and are
-  pushed on the heap directly — no ``(time, seq, handle)`` wrapper
-  tuple per event.
+  callbacks go onto a FIFO ``deque`` instead.  Every callback carries
+  the global sequence number it was scheduled with, and the dispatch
+  loop interleaves same-time calendar entries with fast-lane entries
+  in exact sequence order, so FIFO tie-breaking is preserved.
+* **Allocation-free handles.**  :class:`ScheduledCallback` handles are
+  pooled and reused, and order themselves via ``__lt__`` on
+  ``(time, seq)`` slots.
 * **Pooled timeouts.**  :meth:`Environment.timeout` recycles fired
   :class:`Timeout` objects from a free list.  A timeout is single-use:
   once it has fired and resumed its waiter it may be handed out again,
   so holding on to a fired timeout object is not supported.
+* **No cyclic GC mid-dispatch.**  The loop allocates at a steady,
+  predictable rate; letting the cyclic collector interrupt it every
+  few hundred allocations costs ~10-15% of wall time on event-dense
+  workloads.  :meth:`Environment.run` disables collection for the
+  duration of the loop and restores it on exit.
+
+There are exactly two dispatch loops.  :meth:`Environment.run` is the
+clean loop every production run uses; it carries no instrumentation.
+:meth:`Environment._run_instrumented` serves the runtime sanitizer and
+its differential confirmer through one seam: an ordering policy for
+each same-time batch (FIFO, or reverse for the confirmer) plus
+optional observe hooks (see :meth:`Environment.__init__`).
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional, \
     Tuple
+
+from repro.sim.calendar import CalendarQueue
 
 __all__ = [
     "AllOf",
@@ -75,45 +89,9 @@ _TIMEOUT_POOL_LIMIT = 128
 _HANDLE_POOL_LIMIT = 512
 
 
-def _fast_lane_default() -> bool:
-    """Fast lane is on unless ``REPRO_KERNEL_FASTLANE=0`` disables it."""
-    return os.environ.get("REPRO_KERNEL_FASTLANE", "1") != "0"
-
-
-def _scheduler_default() -> str:
-    """Scheduler choice: ``REPRO_KERNEL_SCHED=calendar`` (default) | ``heap``.
-
-    ``calendar`` keeps per-event cost O(1) in the pending-event
-    population (see :mod:`repro.sim.calendar`); ``heap`` is the
-    original binary heap.  Both produce bit-identical schedules — the
-    calendar queue pops in exact global ``(time, seq)`` order — so the
-    toggle is a performance choice, verified by the determinism suite.
-    """
-    value = os.environ.get("REPRO_KERNEL_SCHED", "calendar")
-    if value not in ("calendar", "heap"):
-        raise ValueError(
-            f"REPRO_KERNEL_SCHED={value!r}; expected 'calendar' or 'heap'"
-        )
-    return value
-
-
 def _handle_seq(handle: "ScheduledCallback") -> int:
-    """Sort key for perturbed-tie-break batches."""
+    """Sort key for same-time batches in the instrumented loop."""
     return handle.seq
-
-
-def _gc_pause_default() -> bool:
-    """GC is paused inside ``run()`` unless ``REPRO_KERNEL_GC_PAUSE=0``.
-
-    The dispatch loop allocates at a steady, predictable rate; letting
-    the cyclic collector interrupt it every few hundred allocations
-    costs ~10-15% of wall time on event-dense workloads.  ``run()``
-    therefore disables collection for the duration of the loop and
-    restores it on exit — cyclic garbage (broken promptly by the kernel
-    dropping generator references when processes finish) is reclaimed
-    between run chunks instead of mid-dispatch.
-    """
-    return os.environ.get("REPRO_KERNEL_GC_PAUSE", "1") != "0"
 
 
 class SimulationError(Exception):
@@ -133,16 +111,14 @@ class Interrupt(Exception):
 
 
 class ScheduledCallback:
-    """Handle for a callback placed on the event heap or fast lane.
+    """Handle for a callback placed on the calendar queue or fast lane.
 
     Scheduling is append-only; cancellation just flips a flag and the
     entry is discarded when popped.  Positional arguments are stored on
     the handle and passed to the callback when it runs, so the hot
     scheduling paths (event delivery, timeout firing, process
-    notification) need no per-event closure allocation.  The handle is
-    its own heap entry: ``__lt__`` orders by ``(time, seq)``, the same
-    global FIFO tie-break a wrapper tuple used to provide, without
-    allocating one per event.
+    notification) need no per-event closure allocation.  ``__lt__``
+    orders handles by ``(time, seq)``: the global FIFO tie-break.
 
     Ownership: once a handle has run (or was cancelled and reaped by the
     dispatch loop), it belongs to the kernel again and may be recycled
@@ -609,7 +585,7 @@ class AnyOf(Waitable):
 
     When the first child fires, the watchers on the remaining children
     are detached (their subscriptions cancelled), so losing children
-    never accumulate dead subscribers and a losing timer's heap entry is
+    never accumulate dead subscribers and a losing timer's queue entry is
     cancelled rather than left to fire as a no-op.
     """
 
@@ -690,87 +666,73 @@ class Mailbox:
 
 
 class Environment:
-    """Simulation clock, event heap + fast lane, and process factory.
+    """Simulation clock, pending-event queues, and process factory.
 
     ``now`` is a plain attribute (read-hot); treat it as read-only from
     model code.  ``dispatch_count`` counts callbacks actually run — the
     events/second benchmarks divide it by wall-clock time.
+
+    ``sanitizer`` and ``tiebreak`` are the instrumented loop's seam.
+    ``sanitizer`` is an observer with ``advance_time(now)``,
+    ``begin_event(handle)``, ``end_event(handle)`` and
+    ``note_reaped(handle)`` hooks, plus ``new_handle`` (the handle
+    factory) and ``attach_env``; ``False`` counts as no sanitizer.
+    ``tiebreak`` is the order within a same-time batch: ``"fifo"``
+    (the default, the clean loop's order) or ``"reverse-batch"`` (the
+    differential confirmer's perturbation).  The two are mutually
+    exclusive: the race detector's footprint model assumes FIFO.
     """
 
     __slots__ = (
         "now",
-        "_heap",
         "_cal",
         "_fast",
         "_seq",
         "_crashes",
-        "_fast_enabled",
-        "_gc_pause",
         "_timeout_pool",
         "_handle_pool",
         "_san",
-        "_tiebreak",
+        "_reverse_batch",
         "dispatch_count",
     )
 
     def __init__(
         self,
-        fast_lane: Optional[bool] = None,
-        scheduler: Optional[str] = None,
         sanitizer: Optional[Any] = None,
         tiebreak: Optional[str] = None,
     ):
-        self.now = 0.0
-        self._heap: list[ScheduledCallback] = []
-        if scheduler is None:
-            scheduler = _scheduler_default()
-        elif scheduler not in ("calendar", "heap"):
-            raise ValueError(
-                f"scheduler={scheduler!r}; expected 'calendar' or 'heap'"
-            )
-        if scheduler == "calendar":
-            from repro.sim.calendar import CalendarQueue
-
-            self._cal: Optional["CalendarQueue"] = CalendarQueue()
-        else:
-            self._cal = None
-        self._fast: deque[ScheduledCallback] = deque()
-        self._seq = 0
-        self._crashes: list[tuple[Process, BaseException]] = []
-        if fast_lane is None:
-            fast_lane = _fast_lane_default()
-        self._fast_enabled = fast_lane
-        self._gc_pause = _gc_pause_default()
-        self._timeout_pool: list[Timeout] = []
-        self._handle_pool: list[ScheduledCallback] = []
-        # Runtime sanitizer (repro.sanitizer); None on the clean path so
-        # every hook is one attribute load and a predictable branch.
         if tiebreak not in (None, "fifo", "reverse-batch"):
             raise ValueError(
                 f"tiebreak={tiebreak!r}; expected 'fifo' or 'reverse-batch'"
             )
-        if tiebreak == "fifo":
-            tiebreak = None
+        reverse_batch = tiebreak == "reverse-batch"
         if not sanitizer:
-            # False is accepted as an explicit "off" (the differential
-            # confirmer forces it for its perturbed re-run).
             sanitizer = None
-        if sanitizer is not None and tiebreak is not None:
+        if sanitizer is not None and reverse_batch:
             raise SimulationError(
                 "sanitizer and a non-FIFO tiebreak are mutually "
                 "exclusive: the race detector's footprint model assumes "
                 "the kernel's documented FIFO seq order"
             )
+        self.now = 0.0
+        self._cal = CalendarQueue()
+        self._fast: deque[ScheduledCallback] = deque()
+        self._seq = 0
+        self._crashes: list[tuple[Process, BaseException]] = []
+        self._timeout_pool: list[Timeout] = []
+        self._handle_pool: list[ScheduledCallback] = []
+        # None on the clean path, so every model-side hook is one
+        # attribute load and a predictable branch.
         self._san = sanitizer
-        self._tiebreak = tiebreak
+        self._reverse_batch = reverse_batch
         if sanitizer is not None:
             sanitizer.attach_env(self)
         self.dispatch_count = 0
 
     @property
     def scheduler(self) -> str:
-        """Active pending-event structure: ``"calendar"`` or ``"heap"``."""
-        return "heap" if self._cal is None else "calendar"
+        """The pending-event structure (always ``"calendar"``)."""
+        return "calendar"
 
     @property
     def crashes(self) -> list[tuple["Process", BaseException]]:
@@ -803,12 +765,10 @@ class Environment:
                 handle = ScheduledCallback(
                     self.now + delay, seq, callback, args
                 )
-        if delay == 0.0 and self._fast_enabled:
+        if delay == 0.0:
             self._fast.append(handle)
-        elif self._cal is not None:
-            self._cal.push(handle)
         else:
-            heapq.heappush(self._heap, handle)
+            self._cal.push(handle)
         return handle
 
     def schedule_now(
@@ -817,7 +777,7 @@ class Environment:
         """Run ``callback(*args)`` on the next step at the current time.
 
         The zero-delay fast path used by all deferred deliveries; it
-        skips the negative-delay check and the heap.
+        skips the negative-delay check and the calendar queue.
         """
         seq = self._seq
         self._seq = seq + 1
@@ -835,12 +795,7 @@ class Environment:
                 handle.cancelled = False
             else:
                 handle = ScheduledCallback(self.now, seq, callback, args)
-        if self._fast_enabled:
-            self._fast.append(handle)
-        elif self._cal is not None:
-            self._cal.push(handle)
-        else:
-            heapq.heappush(self._heap, handle)
+        self._fast.append(handle)
         return handle
 
     def process(
@@ -892,54 +847,50 @@ class Environment:
         at the requested horizon.  ``until`` must not lie in the past.
 
         Dispatch order: the earliest ``(time, seq)`` across the
-        scheduler and the fast lane runs next.  Fast-lane entries
+        calendar queue and the fast lane runs next.  Fast-lane entries
         always carry the current timestamp, so the comparison only
-        needs the sequence number when a scheduler entry is due at the
+        needs the sequence number when a calendar entry is due at the
         same instant.
         """
-        if self._san is not None:
-            self._run_sanitized(until)
+        if self._san is not None or self._reverse_batch:
+            self._run_instrumented(until)
             return
-        if self._tiebreak is not None:
-            self._run_perturbed(until)
-            return
-        if self._cal is not None:
-            self._run_calendar(until)
-            return
-        heap = self._heap
+        cal = self._cal
         fast = self._fast
-        heappop = heapq.heappop
+        peek = cal.peek
+        pop = cal.pop
         pool = self._handle_pool
         pool_append = pool.append
         now = self.now
         dispatched = self.dispatch_count
-        pause_gc = self._gc_pause and gc.isenabled()
+        pause_gc = gc.isenabled()
         if pause_gc:
             gc.disable()
         try:
             while True:
                 if fast:
                     handle = fast[0]
-                    if heap:
-                        top = heap[0]
-                        # Exact: heap entry times are stored schedule
-                        # values and ``now`` was copied from one, so
-                        # equality means "same instant" by construction.
-                        if top.time == now and top.seq < handle.seq:
-                            handle = top
-                            heappop(heap)
-                        else:
-                            fast.popleft()
+                    top = peek()
+                    # Exact: calendar entry times are stored schedule
+                    # values and ``now`` was copied from one, so
+                    # equality means "same instant" by construction.
+                    if (
+                        top is not None
+                        and top.time == now
+                        and top.seq < handle.seq
+                    ):
+                        handle = top
+                        pop()
                     else:
                         fast.popleft()
-                elif heap:
-                    handle = heap[0]
+                else:
+                    handle = peek()
+                    if handle is None:
+                        break
                     if until is not None and handle.time > until:
                         self.now = until
                         return
-                    heappop(heap)
-                else:
-                    break
+                    pop()
                 if handle.cancelled:
                     handle.callback = None
                     handle.args = ()
@@ -968,213 +919,80 @@ class Environment:
         if until is not None and until > self.now:
             self.now = until
 
-    def _run_calendar(self, until: Optional[float]) -> None:
-        """The :meth:`run` dispatch loop over the calendar queue.
+    def _run_instrumented(self, until: Optional[float]) -> None:
+        """The :meth:`run` loop with an ordering policy and observe hooks.
 
-        Identical to the heap loop except that the pending-event
-        structure is peeked/popped through :class:`CalendarQueue`,
-        which yields the same exact ``(time, seq)`` order.
-        """
-        cal = self._cal
-        assert cal is not None
-        fast = self._fast
-        peek = cal.peek
-        pop = cal.pop
-        pool = self._handle_pool
-        pool_append = pool.append
-        now = self.now
-        dispatched = self.dispatch_count
-        pause_gc = self._gc_pause and gc.isenabled()
-        if pause_gc:
-            gc.disable()
-        try:
-            while True:
-                if fast:
-                    handle = fast[0]
-                    top = peek()
-                    # Exact: scheduler entry times are stored schedule
-                    # values and ``now`` was copied from one, so
-                    # equality means "same instant" by construction.
-                    if (
-                        top is not None
-                        and top.time == now
-                        and top.seq < handle.seq
-                    ):
-                        handle = top
-                        pop()
-                    else:
-                        fast.popleft()
-                else:
-                    handle = peek()
-                    if handle is None:
-                        break
-                    if until is not None and handle.time > until:
-                        self.now = until
-                        return
-                    pop()
-                if handle.cancelled:
-                    handle.callback = None
-                    handle.args = ()
-                    if len(pool) < _HANDLE_POOL_LIMIT:
-                        pool_append(handle)
-                    continue
-                time = handle.time
-                # Exact: see the heap loop.
-                if time != now:
-                    now = time
-                    self.now = time
-                dispatched += 1
-                handle.callback(*handle.args)
-                handle.callback = None
-                handle.args = ()
-                if len(pool) < _HANDLE_POOL_LIMIT:
-                    pool_append(handle)
-        finally:
-            self.dispatch_count = dispatched
-            if pause_gc:
-                gc.enable()
-        if until is not None and until > self.now:
-            self.now = until
+        Dispatch proceeds in same-time *batches*: every callback queued
+        for the next instant (the fast lane plus the calendar entries
+        due then), sorted by seq.  Work a batch member schedules at the
+        same instant has a larger seq than every member, so it lands in
+        a later batch.  Run ascending (FIFO), the batches therefore
+        reproduce the clean loop's global ``(time, seq)`` order
+        exactly, which is what lets a sanitized run equal a clean one.
+        Run descending (``reverse-batch``), they permute only causally
+        unrelated same-time events: children still run after their
+        parents, and every callback still runs once at its time.
 
-    def _run_sanitized(self, until: Optional[float]) -> None:
-        """The :meth:`run` dispatch loop with sanitizer hooks.
-
-        Semantically identical to the clean loops — same fast-lane
-        interleave, same exact ``(time, seq)`` order over either
-        scheduler — but with no handle/timeout pooling, no GC pause,
-        and begin/end/advance/reap notifications into the sanitizer.
-        It is a separate loop precisely so the clean paths carry zero
-        per-event sanitizer cost.
+        The clock advances only when a live callback runs, and the
+        cyclic collector is paused, as in the clean loop.  Handles are
+        not recycled here (sanitized handles need stable identities).
+        A callback that raises out of the loop abandons the rest of its
+        batch.
         """
         san = self._san
+        descending = self._reverse_batch
         cal = self._cal
-        heap = self._heap
         fast = self._fast
-        heappop = heapq.heappop
         now = self.now
         dispatched = self.dispatch_count
-        try:
-            while True:
-                if fast:
-                    handle = fast[0]
-                    if cal is not None:
-                        top = cal.peek()
-                    else:
-                        top = heap[0] if heap else None
-                    # Exact: see the clean loops — stored schedule
-                    # times, equality means "same instant".
-                    if (
-                        top is not None
-                        and top.time == now
-                        and top.seq < handle.seq
-                    ):
-                        handle = top
-                        if cal is not None:
-                            cal.pop()
-                        else:
-                            heappop(heap)
-                    else:
-                        fast.popleft()
-                else:
-                    if cal is not None:
-                        handle = cal.peek()
-                        if handle is None:
-                            break
-                    elif heap:
-                        handle = heap[0]
-                    else:
-                        break
-                    if until is not None and handle.time > until:
-                        self.now = until
-                        return
-                    if cal is not None:
-                        cal.pop()
-                    else:
-                        heappop(heap)
-                if handle.cancelled:
-                    san.note_reaped(handle)
-                    continue
-                time = handle.time
-                # Exact: see the clean loops.
-                if time != now:
-                    now = time
-                    self.now = time
-                    san.advance_time(time)
-                dispatched += 1
-                san.begin_event(handle)
-                try:
-                    handle.callback(*handle.args)
-                finally:
-                    san.end_event(handle)
-        finally:
-            self.dispatch_count = dispatched
-        if until is not None and until > self.now:
-            self.now = until
-
-    def _run_perturbed(self, until: Optional[float]) -> None:
-        """The :meth:`run` loop under the ``reverse-batch`` tie-break.
-
-        Used by the sanitizer's differential confirmer: at each
-        timestamp, the batch of currently-queued callbacks executes in
-        *descending* seq order instead of FIFO.  Work a batch member
-        schedules at the same timestamp lands in the *next* batch, so
-        children still run after their parents (causality is
-        preserved), every callback still runs exactly once at its
-        scheduled time, and the loop terminates exactly like FIFO
-        dispatch — only the order among causally-unrelated same-time
-        events is permuted.  Deterministic: batches are sorted by seq.
-        """
-        cal = self._cal
-        heap = self._heap
-        fast = self._fast
-        heappop = heapq.heappop
-        pool = self._handle_pool
-        pool_append = pool.append
-        dispatched = self.dispatch_count
-        pause_gc = self._gc_pause and gc.isenabled()
+        pause_gc = gc.isenabled()
         if pause_gc:
             gc.disable()
         try:
             while True:
-                if not fast:
-                    top = cal.peek() if cal is not None else (
-                        heap[0] if heap else None
-                    )
+                if fast:
+                    instant = fast[0].time
+                else:
+                    top = cal.peek()
                     if top is None:
                         break
                     if until is not None and top.time > until:
                         self.now = until
                         return
-                    # Exact: stored schedule times (see clean loops).
-                    if top.time != self.now:
-                        self.now = top.time
-                # Gather the whole batch due at the current instant.
+                    instant = top.time
                 batch = list(fast)
                 fast.clear()
-                now = self.now
                 while True:
-                    top = cal.peek() if cal is not None else (
-                        heap[0] if heap else None
-                    )
-                    # Exact: stored schedule times (see clean loops).
-                    if top is None or top.time != now:
+                    top = cal.peek()
+                    # Exact: stored schedule times (see the clean loop).
+                    if top is None or top.time != instant:
                         break
                     batch.append(top)
-                    if cal is not None:
-                        cal.pop()
-                    else:
-                        heappop(heap)
-                batch.sort(key=_handle_seq, reverse=True)
+                    cal.pop()
+                batch.sort(key=_handle_seq, reverse=descending)
                 for handle in batch:
                     # Re-checked per handle: a batch member may cancel
-                    # a later (lower-seq) member of the same batch.
-                    if not handle.cancelled:
-                        dispatched += 1
+                    # a later member of the same batch.
+                    if handle.cancelled:
+                        if san is not None:
+                            san.note_reaped(handle)
+                        continue
+                    time = handle.time
+                    # Exact: see the clean loop.
+                    if time != now:
+                        now = time
+                        self.now = time
+                        if san is not None:
+                            san.advance_time(time)
+                    dispatched += 1
+                    if san is None:
                         handle.callback(*handle.args)
-                    handle.callback = None
-                    handle.args = ()
-                    if len(pool) < _HANDLE_POOL_LIMIT:
-                        pool_append(handle)
+                        continue
+                    san.begin_event(handle)
+                    try:
+                        handle.callback(*handle.args)
+                    finally:
+                        san.end_event(handle)
         finally:
             self.dispatch_count = dispatched
             if pause_gc:

@@ -162,6 +162,20 @@ class TestStatsUnderPool:
         assert executor.stats.chunks_dispatched == chunks_before
         assert executor.stats.ipc_bytes == ipc_before
 
+    def test_cold_pool_sweep_counts_worker_stores(self, tmp_path):
+        """Workers write the disk entries; the parent's cache stats
+        must still count one store per distinct point."""
+        configs = small_grid() + small_grid()[:2]  # 6 distinct points
+        distinct = len(set(configs))
+        executor = SweepExecutor(
+            jobs=2, cache=ResultCache(tmp_path / "cache")
+        )
+        executor.run_many(configs)
+        assert executor.stats.pool_batches == 1
+        assert executor.cache.stats.stores == distinct
+        assert executor.cache_stats()["disk"]["stores"] == distinct
+        assert executor.cache.entry_count() == distinct
+
     def test_chunk_accounting_matches_grid(self):
         configs = small_grid()  # 6 distinct points
         executor = SweepExecutor(jobs=2, chunk=2)

@@ -24,6 +24,8 @@ from repro.experiments.executor import (
 )
 from repro.faults.schedule import FaultConfig
 
+from tests.sim import reference_kernel
+
 ALGORITHMS = ("2pl", "ww", "bto", "opt", "no_dc", "wd", "ir")
 
 
@@ -108,9 +110,8 @@ class TestFaultDeterminism:
         """The kernel's same-time fast lane must not reorder fault
         callbacks relative to simulation callbacks."""
         config = faulty_tiny_config("ww")
-        monkeypatch.setenv("REPRO_KERNEL_FASTLANE", "1")
         with_lane = run_simulation(config)
-        monkeypatch.setenv("REPRO_KERNEL_FASTLANE", "0")
+        reference_kernel.install(monkeypatch, fast_lane=False)
         without_lane = run_simulation(config)
         assert with_lane.as_dict() == without_lane.as_dict()
         assert (

@@ -3,13 +3,11 @@
 The kernel's zero-delay fast lane is a pure scheduling-representation
 change: every callback still runs in exact global ``(time, seq)``
 order, so a simulation must produce *bit-identical* metrics with the
-fast lane on and off.  These tests run real workload points — the
-Figure 2 scaling configuration and a Figure 10-style
+fast lane in use and with it bypassed (every zero-delay callback sent
+through the calendar queue instead; see
+:mod:`tests.sim.reference_kernel`).  These tests run real workload
+points — the Figure 2 scaling configuration and a Figure 10-style
 degradation point — both ways and compare the full result dictionary.
-
-``REPRO_KERNEL_FASTLANE`` is read at :class:`Environment` construction
-time, so toggling it per-run via monkeypatch exercises exactly the
-switch the docs describe.
 """
 
 import pytest
@@ -17,6 +15,8 @@ import pytest
 from repro.core.simulation import run_simulation
 from repro.experiments.fidelity import Fidelity
 from repro.experiments.scaling import scaling_config
+
+from tests.sim import reference_kernel
 
 # Short but non-trivial horizon: a few hundred thousand kernel events
 # across the pair of runs, with real contention, aborts, and restarts.
@@ -42,9 +42,7 @@ def _fig10_point():
 
 
 def _run_with_fastlane(monkeypatch, config, enabled: bool):
-    monkeypatch.setenv(
-        "REPRO_KERNEL_FASTLANE", "1" if enabled else "0"
-    )
+    reference_kernel.install(monkeypatch, fast_lane=enabled)
     return run_simulation(config)
 
 
@@ -69,15 +67,3 @@ def test_fastlane_toggle_bit_identical(monkeypatch, point):
     assert with_lane.abort_reasons == without_lane.abort_reasons
     # Sanity: the runs actually exercised the kernel.
     assert with_lane.commits > 0
-
-
-def test_fastlane_kwarg_overrides_environment(monkeypatch):
-    """``Environment(fast_lane=...)`` wins over the env var."""
-    from repro.sim.kernel import Environment
-
-    monkeypatch.setenv("REPRO_KERNEL_FASTLANE", "0")
-    assert Environment(fast_lane=True)._fast_enabled
-    assert not Environment()._fast_enabled
-    monkeypatch.setenv("REPRO_KERNEL_FASTLANE", "1")
-    assert not Environment(fast_lane=False)._fast_enabled
-    assert Environment()._fast_enabled

@@ -1,13 +1,15 @@
-"""Router and MVCC determinism across kernel toggles and faults.
+"""Router and MVCC determinism across dispatch structures and faults.
 
 The router adds a classification + bandit layer on top of the CC
 fleet, and MVCC adds version-chain state inside the node managers —
 both are new consumers of the seeded streams and the kernel's event
 order.  These tests pin the same purity contract the fixed algorithms
-already satisfy: the mixed-blend router point is bit-identical under
-the full scheduler × fastlane × aggregated-arrivals cross and under
-parallel sweep execution, and a faulted MVCC run (crash_reset wiping
-the volatile version chains mid-run) replays exactly.
+already satisfy: the mixed-blend router point is bit-identical on the
+kernel's calendar queue and fast lane, on the test-side reference
+structures (heap, fast lane bypassed; see
+:mod:`tests.sim.reference_kernel`) and under parallel sweep
+execution, and a faulted MVCC run (crash_reset wiping the volatile
+version chains mid-run) replays exactly, on either structure.
 """
 
 import itertools
@@ -18,10 +20,12 @@ from repro.experiments.fidelity import Fidelity
 from repro.experiments.router import mixed_config
 from repro.faults.schedule import FaultConfig
 
+from tests.sim import reference_kernel
+
 FIDELITY = Fidelity.smoke()
 
 FULL_CROSS = list(
-    itertools.product(("calendar", "heap"), ("1", "0"), ("1", "0"))
+    itertools.product(reference_kernel.SCHEDULERS, (True, False))
 )
 
 
@@ -29,10 +33,10 @@ def _router_point(think_time=0.0):
     return mixed_config(FIDELITY, "router", think_time)
 
 
-def _run(monkeypatch, config, scheduler, fastlane, aggregated):
-    monkeypatch.setenv("REPRO_KERNEL_SCHED", scheduler)
-    monkeypatch.setenv("REPRO_KERNEL_FASTLANE", fastlane)
-    monkeypatch.setenv("REPRO_WORKLOAD_AGG", aggregated)
+def _run(monkeypatch, config, scheduler, fast_lane):
+    reference_kernel.install(
+        monkeypatch, scheduler=scheduler, fast_lane=fast_lane
+    )
     return run_simulation(config)
 
 
@@ -55,7 +59,8 @@ def _assert_identical(reference, other):
 
 
 def test_router_full_toggle_cross_bit_identical(monkeypatch):
-    """The contended mixed-blend point under all 2×2×2 toggles."""
+    """The contended mixed-blend point under the scheduler × fast-lane
+    cross."""
     config = _router_point(think_time=0.0)
     reference = _run(monkeypatch, config, *FULL_CROSS[0])
     assert reference.commits > 0
@@ -101,9 +106,9 @@ def test_faulted_mvcc_recovers_and_replays(monkeypatch):
     chain wipes (commits continue after recovery) and stays a pure
     function of the seed."""
     config = _faulted_mvcc_config()
-    first = _run(monkeypatch, config, "calendar", "1", "1")
+    first = _run(monkeypatch, config, "calendar", True)
     assert first.node_crashes > 0  # crash_reset actually fired
     assert first.commits > 0
-    second = _run(monkeypatch, config, "heap", "0", "0")
+    second = _run(monkeypatch, config, "heap", False)
     assert first.as_dict() == second.as_dict()
     assert first.per_node_downtime == second.per_node_downtime

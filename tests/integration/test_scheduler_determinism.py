@@ -1,36 +1,35 @@
-"""Scheduler and arrival-source toggles must not change one number.
+"""The pending-event structure must not change one number.
 
-The calendar-queue scheduler (``REPRO_KERNEL_SCHED``) and the
-aggregated terminal source (``REPRO_WORKLOAD_AGG``) are pure
-performance changes: both preserve the kernel's exact global
-``(time, seq)`` dispatch order and the per-stream random draw
-sequences, so every reported metric must be *bit-identical* under any
-combination of those toggles and the same-time fast lane
-(``REPRO_KERNEL_FASTLANE``).
+The kernel's calendar queue and same-time fast lane are performance
+representations of a single order, ascending ``(time, seq)``, so
+every reported metric must be *bit-identical* when the same model
+runs on the simplest structures that give that order: the test-side
+binary heap and a queue-only path with the fast lane bypassed (see
+:mod:`tests.sim.reference_kernel`).
 
-Coverage: the full 2×2×2 toggle cross on the Figure 2 point (the
-saturated scaling workload), the scheduler × arrival-source square on
-a Figure 10-style restart-heavy point, and the two extreme corners on
-a faulted run (crashes + message loss reach the scheduler through
+Coverage: the full scheduler × fast-lane cross on the Figure 2 point
+(the saturated scaling workload), the scheduler square on a Figure
+10-style restart-heavy point, and the two extreme corners on a
+faulted run (crashes + message loss reach the scheduler through
 entirely different event paths — recovery timers, retransmissions —
 so fault schedules are where an ordering bug would hide).
 """
 
 import itertools
 
-import pytest
-
 from repro.core.simulation import run_simulation
 from repro.experiments.fidelity import Fidelity
 from repro.experiments.scaling import scaling_config
 from repro.faults.schedule import FaultConfig
 
+from tests.sim import reference_kernel
+
 FIDELITY = Fidelity.smoke()
 
-#: (scheduler, fastlane, aggregated) — the modern default first; every
+#: (scheduler, fast_lane) — the kernel's own structures first; every
 #: comparison is against this corner.
 FULL_CROSS = list(
-    itertools.product(("calendar", "heap"), ("1", "0"), ("1", "0"))
+    itertools.product(reference_kernel.SCHEDULERS, (True, False))
 )
 
 
@@ -63,10 +62,10 @@ def _faulted_point():
     )
 
 
-def _run(monkeypatch, config, scheduler, fastlane, aggregated):
-    monkeypatch.setenv("REPRO_KERNEL_SCHED", scheduler)
-    monkeypatch.setenv("REPRO_KERNEL_FASTLANE", fastlane)
-    monkeypatch.setenv("REPRO_WORKLOAD_AGG", aggregated)
+def _run(monkeypatch, config, scheduler, fast_lane):
+    reference_kernel.install(
+        monkeypatch, scheduler=scheduler, fast_lane=fast_lane
+    )
     return run_simulation(config)
 
 
@@ -97,18 +96,20 @@ def test_full_toggle_cross_bit_identical_fig02(monkeypatch):
 
 def test_scheduler_source_square_bit_identical_fig10(monkeypatch):
     """Restart-heavy OPT point: schedules are maximally order-
-    sensitive, so any divergence in pop order shows up here."""
+    sensitive, so any divergence in pop order shows up here.  (Arrivals
+    have one source, the aggregated terminal source, so the square is
+    now scheduler × fast lane.)"""
     config = _fig10_point()
-    reference = _run(monkeypatch, config, "calendar", "1", "1")
+    reference = _run(monkeypatch, config, "calendar", True)
     assert reference.commits > 0
-    for scheduler, aggregated in (
-        ("calendar", "0"),
-        ("heap", "1"),
-        ("heap", "0"),
+    for scheduler, fast_lane in (
+        ("calendar", False),
+        ("heap", True),
+        ("heap", False),
     ):
         _assert_identical(
             reference,
-            _run(monkeypatch, config, scheduler, "1", aggregated),
+            _run(monkeypatch, config, scheduler, fast_lane),
         )
 
 
@@ -116,42 +117,7 @@ def test_faulted_run_bit_identical_across_extremes(monkeypatch):
     """Crash/recovery timers and retransmissions flow through the
     scheduler on paths the failure-free tests never touch."""
     config = _faulted_point()
-    reference = _run(monkeypatch, config, "calendar", "1", "1")
-    legacy = _run(monkeypatch, config, "heap", "0", "0")
-    _assert_identical(reference, legacy)
+    reference = _run(monkeypatch, config, "calendar", True)
+    heap_only = _run(monkeypatch, config, "heap", False)
+    _assert_identical(reference, heap_only)
     assert reference.commits > 0
-
-
-def test_scheduler_kwarg_overrides_environment(monkeypatch):
-    """``Environment(scheduler=...)`` wins over the env var."""
-    from repro.sim.kernel import Environment
-
-    monkeypatch.setenv("REPRO_KERNEL_SCHED", "heap")
-    assert Environment(scheduler="calendar").scheduler == "calendar"
-    assert Environment().scheduler == "heap"
-    monkeypatch.setenv("REPRO_KERNEL_SCHED", "calendar")
-    assert Environment(scheduler="heap").scheduler == "heap"
-    assert Environment().scheduler == "calendar"
-    monkeypatch.setenv("REPRO_KERNEL_SCHED", "bogus")
-    with pytest.raises(ValueError):
-        Environment()
-
-
-def test_aggregated_source_bit_identical_at_paper_scale(monkeypatch):
-    """Aggregated vs resident arrivals at the paper's §4.2 machine.
-
-    Think time 8 s keeps most terminals idle between transactions —
-    the regime where the two source implementations schedule through
-    genuinely different code paths (think timers vs resident
-    generator timeouts) yet must consume identical seqs and draws.
-    """
-    config = scaling_config(
-        FIDELITY, algorithm="2pl", think_time=8.0, num_nodes=8
-    )
-    config = config.with_(
-        target_commits=0, max_duration=config.duration
-    )
-    aggregated = _run(monkeypatch, config, "calendar", "1", "1")
-    resident = _run(monkeypatch, config, "calendar", "1", "0")
-    _assert_identical(aggregated, resident)
-    assert aggregated.commits > 0

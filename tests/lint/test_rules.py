@@ -37,7 +37,6 @@ def test_all_file_rules_registered():
         "id-keyed-container",
         "lock-path-discipline",
         "process-protocol",
-        "resident-terminal-process",
         "unordered-dict-iteration",
         "unordered-set-iteration",
         "unseeded-global-random",
@@ -525,83 +524,6 @@ class TestFaultStreamMisuse:
             "  # simlint: ignore[fault-stream-misuse]\n"
         )
         violations = lint_source(snippet, self.FAULTS_PATH)
-        assert [v for v in violations if v.suppressed]
-        assert not [v for v in violations if not v.suppressed]
-
-
-class TestResidentTerminalProcess:
-    RULE = "resident-terminal-process"
-
-    @pytest.mark.parametrize(
-        "snippet",
-        [
-            # The resident design: one Process per terminal.
-            """\
-            for terminal in range(self.config.workload.num_terminals):
-                self.env.process(self._terminal_loop(terminal))
-            """,
-            """\
-            for t in range(num_terminals):
-                env.process(loop(t))
-            """,
-            # Iterating a terminal collection counts too.
-            """\
-            for handle in self.terminals:
-                env.process(handle.run())
-            """,
-            # Explicitly named terminal processes, loop or not.
-            'env.process(body(), name=f"terminal-{index}")\n',
-            "env.process(body(), name='terminal-7')\n",
-        ],
-    )
-    def test_flags_in_repro_scope(self, snippet):
-        assert rule_hits(snippet, CORE_PATH, self.RULE)
-
-    @pytest.mark.parametrize(
-        "snippet",
-        [
-            # Per-node (not per-terminal) spawns are fine.
-            """\
-            for node in range(num_nodes):
-                env.process(pump(node))
-            """,
-            # Terminal loops without a spawn are fine.
-            """\
-            for terminal in range(num_terminals):
-                counts[terminal] += 1
-            """,
-            # Other process names are fine.
-            'env.process(run(), name=f"txn-{tid}")\n',
-            # A dynamic head means the name is not provably terminal-*.
-            'env.process(run(), name=f"{kind}-{tid}")\n',
-            # The sanctioned owner of per-terminal machinery.
-            """\
-            class AggregatedTerminalSource:
-                def start(self):
-                    for terminal in range(self.num_terminals):
-                        self.env.process(self._watch(terminal))
-            """,
-        ],
-    )
-    def test_does_not_flag(self, snippet):
-        assert not rule_hits(snippet, CORE_PATH, self.RULE)
-
-    def test_out_of_scope_path_not_flagged(self):
-        snippet = (
-            "for terminal in range(num_terminals):\n"
-            "    env.process(loop(terminal))\n"
-        )
-        assert not rule_hits(snippet, NEUTRAL_PATH, self.RULE)
-
-    def test_suppression(self):
-        snippet = (
-            "for terminal in range(num_terminals):\n"
-            "    env.process(  "
-            "# simlint: ignore[resident-terminal-process]\n"
-            "        loop(terminal),\n"
-            "    )\n"
-        )
-        violations = lint_source(snippet, CORE_PATH)
         assert [v for v in violations if v.suppressed]
         assert not [v for v in violations if not v.suppressed]
 

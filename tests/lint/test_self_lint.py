@@ -38,7 +38,6 @@ def test_known_suppressions_are_inventoried():
         # Lock-table iteration in grant order is documented semantics
         # (conflict sets and wait-for edges follow grant history).
         + [("locks.py", "unordered-dict-iteration")] * 3
-        + [("transaction_manager.py", "resident-terminal-process")]
     )
 
 

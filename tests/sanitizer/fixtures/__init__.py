@@ -3,8 +3,10 @@
 Each checker gets at least one minimal simulation that triggers
 *exactly one* finding, plus a near-miss that exercises the same code
 path but stays clean.  Every fixture takes the scheduler name
-(``"heap"`` or ``"calendar"``) so the test suite proves the checkers
-behave identically under both dispatch structures.
+(``"calendar"``, the kernel's own queue, or ``"heap"``, the test-side
+reference in :mod:`tests.sim.reference_kernel`) so the test suite
+proves the checkers depend only on the dispatch order, not on the
+structure that produces it.
 
 A fixture builds its own :class:`~repro.sim.kernel.Environment` with a
 confirmer-less :class:`~repro.sanitizer.core.Sanitizer` (there is no
@@ -17,6 +19,8 @@ from repro.sanitizer.core import Sanitizer
 from repro.sim.kernel import Environment, Mailbox
 from repro.sim.streams import RandomStreams
 
+from tests.sim import reference_kernel
+
 
 def _noop():
     pass
@@ -24,7 +28,8 @@ def _noop():
 
 def make_env(scheduler):
     sanitizer = Sanitizer(confirm=False)
-    env = Environment(scheduler=scheduler, sanitizer=sanitizer)
+    env = Environment(sanitizer=sanitizer)
+    reference_kernel.use(env, scheduler=scheduler)
     return env, sanitizer
 
 

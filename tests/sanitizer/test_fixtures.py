@@ -1,5 +1,6 @@
 """Every checker fires on its seeded fixture — exactly once — and
-stays silent on the matching near-miss, under both schedulers.
+stays silent on the matching near-miss, on the kernel's calendar
+queue and on the reference heap.
 
 This is the detection-coverage contract from the sanitizer's spec: a
 checker that cannot demonstrably fire is not a checker, and a checker
@@ -11,8 +12,7 @@ import pytest
 from repro.sanitizer import checks
 
 from tests.sanitizer import fixtures
-
-SCHEDULERS = ("heap", "calendar")
+from tests.sim.reference_kernel import SCHEDULERS
 
 
 def by_check(sanitizer, check_id):

@@ -14,6 +14,8 @@ from repro.sanitizer import checks, run_sanitized, session
 from repro.sanitizer.core import Sanitizer, diff_results
 from repro.sim.kernel import Environment, SimulationError
 
+from tests.sim import reference_kernel
+
 
 def tiny_config(algorithm="2pl", seed=11):
     """Small enough for a sub-second run, contended enough to produce
@@ -30,10 +32,14 @@ class TestBitIdentical:
         assert diff_results(clean, sanitized) == ""
 
     def test_sanitized_result_equals_clean_result_heap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_SCHED", "heap")
+        """Both runs on the reference heap, which must also reproduce
+        the calendar queue's result."""
+        calendar = Simulation(tiny_config()).run()
+        reference_kernel.install(monkeypatch, scheduler="heap")
         clean = Simulation(tiny_config()).run()
         sanitized, _ = run_sanitized(tiny_config(), confirm=False)
         assert diff_results(clean, sanitized) == ""
+        assert diff_results(calendar, clean) == ""
 
     def test_sanitized_rerun_is_deterministic(self):
         _, first = run_sanitized(tiny_config(), confirm=False)

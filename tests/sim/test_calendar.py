@@ -208,7 +208,7 @@ def test_all_events_at_one_instant_hit_the_width_floor():
 
 def test_kernel_cancellation_is_lazy_and_exact():
     """Cancelled handles are reaped at pop time, never eagerly."""
-    env = Environment(scheduler="calendar")
+    env = Environment()
     fired = []
     keep = env.schedule(2.0, fired.append, "keep")
     dead = env.schedule(1.0, fired.append, "dead")
@@ -221,7 +221,7 @@ def test_kernel_cancellation_is_lazy_and_exact():
 
 
 def test_kernel_reschedule_after_cancel_reuses_handle_safely():
-    env = Environment(scheduler="calendar")
+    env = Environment()
     fired = []
     dead = env.schedule(5.0, fired.append, "dead")
     dead.cancel()

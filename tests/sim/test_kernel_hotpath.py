@@ -1,6 +1,6 @@
 """Tests for the kernel hot-path machinery.
 
-Covers the same-time fast lane (interleaving with equal-time heap
+Covers the same-time fast lane (interleaving with equal-time calendar
 entries in exact sequence order), handle/timeout pooling (recycled
 objects never replay stale callbacks), the per-subscription timeout
 handles, AnyOf loser cleanup, and the interrupt-vs-deferred-delivery
@@ -16,15 +16,12 @@ from repro.sim.kernel import (
     Timeout,
 )
 
+from tests.sim import reference_kernel
+
 
 @pytest.fixture
 def env():
-    return Environment(fast_lane=True)
-
-
-def _pending_scheduled(env):
-    """Entries in the non-fast-lane structure (heap or calendar)."""
-    return len(env._cal) if env._cal is not None else len(env._heap)
+    return Environment()
 
 
 class TestFastLaneOrdering:
@@ -33,19 +30,24 @@ class TestFastLaneOrdering:
         env.schedule_now(lambda: None)
         env.schedule(1.0, lambda: None)
         assert len(env._fast) == 2
-        assert _pending_scheduled(env) == 1
+        assert len(env._cal) == 1
 
     def test_heap_only_when_disabled(self):
-        env = Environment(fast_lane=False)
+        # The fast-lane-off reference must really bypass the lane, or
+        # the differential tests below would compare a path with itself.
+        env = reference_kernel.use(
+            Environment(), scheduler="heap", fast_lane=False
+        )
         env.schedule(0.0, lambda: None)
         env.schedule_now(lambda: None)
         assert len(env._fast) == 0
-        assert _pending_scheduled(env) == 2
+        assert isinstance(env._cal, reference_kernel.HeapQueue)
+        assert len(env._cal) == 2
 
     def test_same_time_heap_entry_precedes_later_fast_entry(self, env):
-        # Two heap entries due at t=1.0; the first one's callback pushes
+        # Two calendar entries due at t=1.0; the first one's callback pushes
         # fast-lane work.  That work was scheduled *after* the second
-        # heap entry, so FIFO tie-breaking requires the heap entry to
+        # calendar entry, so FIFO tie-breaking requires that entry to
         # run first even though the fast lane is non-empty.
         order = []
 
@@ -61,14 +63,14 @@ class TestFastLaneOrdering:
 
     def test_fast_entry_precedes_same_time_heap_entry_by_seq(self, env):
         # Here the fast-lane entry is scheduled *before* the equal-time
-        # heap entry, so it must win the tie.
+        # calendar entry, so it must win the tie.
         order = []
 
         def first():
             order.append("h1")
             env.schedule_now(lambda: order.append("f1"))
             env.schedule(0.5, lambda: order.append("h2"))
-            # h2 sits in the heap at the same timestamp it will share
+            # h2 sits in the calendar at the same timestamp it will share
             # with nothing: advance via an exact-time collision instead.
 
         env.schedule(1.0, first)
@@ -77,7 +79,7 @@ class TestFastLaneOrdering:
 
     def test_schedule_order_preserved_across_lanes(self, env):
         # Interleave zero-delay (fast lane) and strictly-positive-delay
-        # (heap) entries that all come due at the same instant and check
+        # (calendar) entries that all come due at the same instant and check
         # global schedule order is preserved exactly.
         order = []
 
@@ -93,7 +95,7 @@ class TestFastLaneOrdering:
 
     def test_matches_heap_only_kernel(self):
         # The same scripted scenario must produce the same execution
-        # order with the fast lane on and off.
+        # order with the fast lane on and on the heap-only reference.
         def scenario(env):
             order = []
 
@@ -108,9 +110,10 @@ class TestFastLaneOrdering:
             env.run()
             return order
 
-        assert scenario(Environment(fast_lane=True)) == scenario(
-            Environment(fast_lane=False)
+        heap_only = reference_kernel.use(
+            Environment(), scheduler="heap", fast_lane=False
         )
+        assert scenario(Environment()) == scenario(heap_only)
 
     def test_until_with_pending_fast_work_drains_current_time(self, env):
         seen = []
@@ -232,7 +235,7 @@ class TestAnyOfLoserCleanup:
         env.schedule(1.0, event.succeed, "won")
         env.run()
         assert fired == [(1, "won")]
-        # The losing timer's heap entry was cancelled, so the run ended
+        # The losing timer's calendar entry was cancelled, so the run ended
         # at the event's time rather than the timer's horizon.
         assert env.now == 1.0
 
@@ -311,8 +314,8 @@ class TestMailboxWithFastLane:
     @pytest.mark.parametrize("fast_lane", [True, False])
     def test_fifo_under_mixed_put_get(self, fast_lane):
         # Items must come out in put order no matter how gets and puts
-        # interleave, with identical behaviour on both kernel paths.
-        env = Environment(fast_lane=fast_lane)
+        # interleave, with the fast lane on and with it bypassed.
+        env = reference_kernel.use(Environment(), fast_lane=fast_lane)
         mailbox = Mailbox(env)
         received = []
 
